@@ -57,6 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "campaign — {traces} traces, {style:?}, key {key:#x}, noise {noise}, seed {seed}, \
          {lanes} lanes"
     );
+    // Counters and the report's wall clock start with the timed pass.
+    mcml_obs::reset();
     let t0 = std::time::Instant::now();
     let out = cpa_campaign(
         &params,

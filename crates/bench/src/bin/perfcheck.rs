@@ -20,7 +20,9 @@
 //!
 //! Both trajectory files are *required*: a missing file, truncated
 //! JSON, or an unknown schema version is a clear, non-zero-exit error —
-//! never a parse panic, and never a silent vacuous pass.
+//! never a parse panic, and never a silent vacuous pass. A candidate
+//! tier whose deterministic counters are all zero (what
+//! `MCML_OBS=off spiceperf` writes) fails the check for the same reason.
 
 use mcml_bench::perf::{compare_points, compare_wall, Trajectory};
 

@@ -632,15 +632,55 @@ impl Trajectory {
 /// `tran_steps`) has been present since the first schema and stays out.
 pub const ZERO_BASELINE_ARMED: &[&str] = &["mos_evals", "block_solves"];
 
+impl TierPerf {
+    /// True when every deterministic counter of the tier reads 0 — what
+    /// a run under `MCML_OBS=off` records. Such a tier measured nothing,
+    /// so it would pass any "no more work than the baseline" check.
+    fn counters_all_zero(&self) -> bool {
+        [
+            self.nr_iterations,
+            self.matrix_solves,
+            self.tran_steps,
+            self.symbolic_reuse,
+            self.numeric_refactor,
+            self.linear_stamps_skipped,
+            self.lte_rejects,
+            self.adaptive_steps,
+            self.h_growths,
+            self.mos_evals,
+            self.mos_bypassed,
+            self.ensemble_lanes,
+            self.lane_refactors,
+            self.partition_blocks,
+            self.block_solves,
+            self.block_skips,
+        ]
+        .iter()
+        .all(|&c| c == 0)
+    }
+}
+
 /// Compare a candidate point against a baseline point: every deterministic
 /// work counter (`nr_iterations`, `matrix_solves`, `tran_steps`) of every
 /// tier present in both must not exceed the baseline by more than
 /// `tolerance` (e.g. `0.10` for +10 %). Returns the list of violations,
 /// empty when the candidate passes. Counters listed in
 /// [`ZERO_BASELINE_ARMED`] are skipped while their baseline reads 0.
+/// A candidate tier whose deterministic counters are all 0 is refused
+/// outright: it was recorded with observability off and checks nothing.
 #[must_use]
 pub fn compare_points(baseline: &PerfPoint, candidate: &PerfPoint, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
+    let mut violations: Vec<String> = candidate
+        .tiers
+        .iter()
+        .filter(|t| t.counters_all_zero())
+        .map(|t| {
+            format!(
+                "tier `{}`: every deterministic counter is 0 (recorded with MCML_OBS=off?)",
+                t.tier
+            )
+        })
+        .collect();
     for base_tier in &baseline.tiers {
         let Some(cand_tier) = candidate.tiers.iter().find(|t| t.tier == base_tier.tier) else {
             violations.push(format!("tier `{}` missing from candidate", base_tier.tier));
@@ -1217,6 +1257,26 @@ mod tests {
             v.iter().any(|m| m.contains("block_solves")),
             "armed block_solves must fire: {v:?}"
         );
+    }
+
+    #[test]
+    fn compare_refuses_all_zero_candidate() {
+        // What `MCML_OBS=off spiceperf` writes: the tiers are there but
+        // every counter reads 0, so "no more work than the baseline"
+        // would hold vacuously.
+        let base = PerfPoint {
+            label: "a".to_owned(),
+            tiers: vec![tier("fig6_tran", 1000)],
+            ..PerfPoint::default()
+        };
+        let off = PerfPoint {
+            label: "b".to_owned(),
+            tiers: vec![tier("fig6_tran", 0)],
+            ..PerfPoint::default()
+        };
+        let v = compare_points(&base, &off, 0.10);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("fig6_tran") && v[0].contains("every deterministic counter is 0"));
     }
 
     #[test]

@@ -883,10 +883,8 @@ pub fn fig6_transistor_ensemble(
         _ => (params.v_low(), params.tech.vdd),
     };
     let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options()
-        .ensemble(lanes.max(1))
-        .with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(tran_opts.ensemble_lanes).collect();
+    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes.max(1)).collect();
     let el_ref = &el;
     let opts_ref = &tran_opts;
     let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
@@ -961,8 +959,8 @@ pub fn fig6_base_waveforms(
         });
         return rows.into_iter().collect();
     }
-    let tran_opts = fig6_tran_options().ensemble(lanes).with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(tran_opts.ensemble_lanes).collect();
+    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes).collect();
     let el_ref = &el;
     let block_rows =
         mcml_exec::parallel_map_items(par, &blocks, |block| -> Result<Vec<Vec<f64>>> {

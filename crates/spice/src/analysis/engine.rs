@@ -152,7 +152,7 @@ impl JacKey {
     }
 }
 
-/// Generic over how the circuit is held: the scalar and ensemble paths
+/// Generic over how the circuit is held: the lockstep march's lanes
 /// borrow (`Engine<&Circuit>`), while the partitioned solver's per-block
 /// engines *own* their sub-circuits (`Engine<Circuit>`) so the boundary
 /// replica-source values can be rewritten between solves without
@@ -179,8 +179,8 @@ pub(crate) struct Engine<C: Borrow<Circuit>> {
     /// iterations *and* time steps — idle devices stay bypassed for the
     /// whole quiet window.
     mos_state: Vec<MosBypassState>,
-    /// When set (ensemble lanes only — the scalar path never enables
-    /// it), a Newton iteration whose assembly evaluated zero MOS devices
+    /// When set (`ensemble_transient` lanes only — `transient()` never
+    /// enables it), a Newton iteration whose assembly evaluated zero MOS devices
     /// and whose [`JacKey`] matches `last_factored` reuses the existing
     /// sparse factors without a refactorisation: the stamped values are
     /// provably bit-identical to the ones already factored.
@@ -245,10 +245,11 @@ impl<C: Borrow<Circuit>> Engine<C> {
         self.last_factored = None;
     }
 
-    /// Enable the unchanged-Jacobian reuse check (ensemble lanes only;
-    /// see the field docs). Off by default — the scalar path is the
-    /// reference the golden and perf baselines pin, so it stays exactly
-    /// as it was.
+    /// Enable the unchanged-Jacobian reuse check (`ensemble_transient`
+    /// lanes only; see the field docs). Off by default — `transient()`
+    /// keeps it off so the LU-factor counters its golden and perf
+    /// baselines pin stay exactly as they were. The result bits are the
+    /// same either way.
     pub fn set_reuse_unchanged_jacobian(&mut self, on: bool) {
         self.reuse_unchanged_jacobian = on;
     }

@@ -1,5 +1,7 @@
-//! Structure-of-arrays ensemble transient: N input vectors marched
-//! lockstep over one shared stamp plan and symbolic LU.
+//! The transient march: N input vectors marched lockstep over one
+//! shared stamp plan and symbolic LU. Both entry points run it —
+//! [`ensemble_transient`] on N lanes, and
+//! [`transient`](super::tran::transient) on one.
 //!
 //! A trace campaign solves the *same circuit* thousands of times with
 //! different source waveforms. Everything structural — the MNA sparsity
@@ -21,15 +23,16 @@
 //!   one `f64` buffer, so the lockstep march streams through memory in
 //!   lane order.
 //!
-//! Lockstep semantics are chosen so that a **one-lane ensemble is
-//! bit-identical to the scalar [`transient`](super::tran::transient)
-//! path** (the property tests pin this): every ensemble decision is a
-//! fold over lanes — the adaptive step is the minimum of the per-lane
-//! proposals, a step is rejected when *any* lane rejects it (all lanes
-//! re-run at the shrunken step, keeping them aligned on the caller's
-//! output grid), and state is committed only when the whole ensemble
-//! accepts. With one lane each fold degenerates to exactly the scalar
-//! controller.
+//! Every ensemble decision is a fold over lanes — the adaptive step is
+//! the minimum of the per-lane proposals, a step is rejected when *any*
+//! lane rejects it (all lanes re-run at the shrunken step, keeping them
+//! aligned on the caller's output grid), and state is committed only
+//! when the whole ensemble accepts. With one lane each fold degenerates
+//! to the single-circuit controller, which is how `transient()` runs.
+//! The bit-level reference for that case is
+//! `crates/spice/tests/trajectory_bits.rs`; the property tests pin that
+//! a one-lane `ensemble_transient` (exact factor reuse on) matches
+//! `transient()` (reuse off) bit for bit.
 
 use std::sync::Arc;
 
@@ -142,8 +145,7 @@ fn seed_factors(engines: &mut [Engine<&Circuit>], seeded: &mut bool) {
 }
 
 /// Union of every lane's source breakpoints (sorted, deduped) and the
-/// tightest curvature step ceiling, exactly as the scalar marches
-/// compute them from their single circuit.
+/// tightest curvature step ceiling.
 fn merged_breakpoints(ckts: &[Circuit], t_stop: f64) -> (Vec<f64>, f64) {
     let mut bps: Vec<f64> = Vec::new();
     let mut hint = f64::INFINITY;
@@ -174,7 +176,7 @@ struct Lanes<'a, 'c> {
     /// Flat trial state for uncommitted candidate steps.
     x_try_all: Vec<f64>,
     caps: Vec<Vec<Option<CapState>>>,
-    /// Scratch pair for delegating a lane to the scalar `step_cell`.
+    /// Scratch pair for running one lane through `step_cell`.
     xv: Vec<f64>,
     xt: Vec<f64>,
     seeded: bool,
@@ -185,14 +187,34 @@ impl Lanes<'_, '_> {
         &self.x_all[l * self.n_unk..(l + 1) * self.n_unk]
     }
 
+    /// The capacitor terminal pairs (topology, so lane 0's serve every
+    /// lane) and each lane's LTE history seeded with its t = 0 state.
+    fn cap_histories(&self) -> (Vec<(NodeId, NodeId)>, Vec<CapHistory>) {
+        let pairs: Vec<(NodeId, NodeId)> = self.ckts[0]
+            .elements()
+            .filter_map(|(_, _, e)| match e {
+                Element::Capacitor { a, b, .. } => Some((*a, *b)),
+                _ => None,
+            })
+            .collect();
+        let hist = (0..self.ckts.len())
+            .map(|l| {
+                let mut h = CapHistory::new(pairs.len());
+                h.push(0.0, &pairs, self.lane(l));
+                h
+            })
+            .collect();
+        (pairs, hist)
+    }
+
     fn commit_lane(&mut self, l: usize) {
         let (a, b) = (l * self.n_unk, (l + 1) * self.n_unk);
         let (x_all, x_try) = (&mut self.x_all, &self.x_try_all);
         x_all[a..b].copy_from_slice(&x_try[a..b]);
     }
 
-    /// Run the scalar reference cell step for lane `l` (bitwise the
-    /// fixed path), committing directly into the flat state.
+    /// Run the fixed-step reference cell step for lane `l`, committing
+    /// directly into the flat state.
     #[allow(clippy::too_many_arguments)]
     fn step_cell_lane(
         &mut self,
@@ -259,13 +281,14 @@ impl Lanes<'_, '_> {
 /// source waveforms, capacitances, and MOS device parameters — the
 /// degrees of freedom of a trace campaign or a local-mismatch
 /// Monte-Carlo sweep. Results come back one [`TranResult`] per lane, in
-/// lane order, each indistinguishable from a scalar
+/// lane order, each indistinguishable from a
 /// [`transient`](crate::analysis::tran::transient) result.
 ///
 /// Lockstep guarantees (pinned by the regression tests):
 ///
-/// * a **one-lane ensemble is bit-identical to the scalar path**, for
-///   fixed-step and both adaptive modes;
+/// * a **one-lane ensemble is bit-identical to `transient()`**, for
+///   fixed-step and both adaptive modes — the same march, with only the
+///   exact factor reuse check switched on;
 /// * with adaptive stepping, all lanes advance on one shared internal
 ///   grid — a step is accepted only when every lane accepts it, a
 ///   rejecting lane shrinks the step for the whole ensemble, and source
@@ -279,6 +302,31 @@ impl Lanes<'_, '_> {
 /// `spice.lane_refactors` counts the per-lane LU refactorisations that
 /// actually ran (the gap to `spice.matrix_solves` is the solves served
 /// by the unchanged-Jacobian reuse check).
+///
+/// # Examples
+///
+/// ```
+/// use mcml_spice::{ensemble_transient, Circuit, SourceWave, TranOptions};
+///
+/// let lane = |level: f64| {
+///     let mut c = Circuit::new();
+///     let vin = c.node("in");
+///     let out = c.node("out");
+///     c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, level, 1e-9));
+///     c.resistor("R", vin, out, 1.0e3);
+///     c.capacitor("C", out, Circuit::GND, 1.0e-12);
+///     (c, out)
+/// };
+/// // Four lanes: identical topology, different source amplitudes.
+/// let lanes: Vec<_> = (1..=4).map(|k| lane(f64::from(k))).collect();
+/// let ckts: Vec<Circuit> = lanes.iter().map(|(c, _)| c.clone()).collect();
+///
+/// let results = ensemble_transient(&ckts, &TranOptions::new(8e-9, 10e-12)).unwrap();
+/// for (k, ((_, out), res)) in lanes.iter().zip(&results).enumerate() {
+///     let v = res.voltage(*out).last_value();
+///     assert!((v - (k + 1) as f64).abs() < 0.05, "lane {k}: {v}");
+/// }
+/// ```
 ///
 /// # Errors
 ///
@@ -301,12 +349,27 @@ pub fn ensemble_transient(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<Tr
     let _span = mcml_obs::span(mcml_obs::Stage::EnsembleTran);
     mcml_obs::add(mcml_obs::Counter::EnsembleLanes, lanes as u64);
     mcml_obs::add(mcml_obs::Counter::Transients, lanes as u64);
+    march(ckts, opts, true)
+}
 
-    // Per-lane DC operating point — the very same cold solve the scalar
-    // transient makes, so each lane starts from the bit-identical
-    // state. Deliberately *not* accelerated: differential MCML cells
-    // have multiple locally stable operating points whose supply
-    // currents are indistinguishable (that is the style's whole point),
+/// The transient march both entry points share: per-lane cold DC
+/// operating points, partition dispatch, then the lockstep march over
+/// `ckts` (one lane per circuit, topology already checked by the
+/// caller). `reuse_unchanged_jacobian` sets the lane engines'
+/// exact-factor reuse check (see
+/// [`Engine::set_reuse_unchanged_jacobian`]); it changes which LU
+/// counters move, not the result bits.
+pub(crate) fn march(
+    ckts: &[Circuit],
+    opts: &TranOptions,
+    reuse_unchanged_jacobian: bool,
+) -> Result<Vec<TranResult>> {
+    let lanes = ckts.len();
+    // Per-lane DC operating point — the same cold solve a lone circuit
+    // gets, so each lane starts from the bit-identical state whatever
+    // ensemble it rides in. Deliberately *not* accelerated: differential
+    // MCML cells have multiple locally stable operating points whose
+    // supply currents are indistinguishable (the style's whole point),
     // so any shortcut that changes the Newton path from zero — warm
     // starting from a sibling's op, skipping a continuation rung,
     // lagged-Jacobian iterations inside the ladder — can silently
@@ -347,7 +410,7 @@ pub fn ensemble_transient(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<Tr
         engines.push(Engine::with_shared_plan(ckt, Arc::clone(&plan)));
     }
     for e in &mut engines {
-        e.set_reuse_unchanged_jacobian(true);
+        e.set_reuse_unchanged_jacobian(reuse_unchanged_jacobian);
     }
     let n_unk = engines[0].n_unk;
     let n_node_unk = engines[0].n_node_unk;
@@ -375,8 +438,11 @@ pub fn ensemble_transient(ckts: &[Circuit], opts: &TranOptions) -> Result<Vec<Tr
         seeded: false,
     };
 
-    // The caller's uniform output grid, computed exactly as the scalar
-    // path computes it.
+    // The caller's uniform output grid. Step count covering
+    // [0, t_stop] exactly: when t_stop is not an integer multiple of dt,
+    // a naive `round` either drops the tail of the window or overshoots
+    // past t_stop; instead take `ceil` and clamp the final grid point to
+    // t_stop (the last step is simply shorter).
     let stride = opts.record_stride.max(1);
     let ratio = opts.t_stop / opts.dt;
     let n_steps = if (ratio - ratio.round()).abs() < 1e-6 * ratio.max(1.0) {
@@ -469,8 +535,8 @@ type InternalGrid = (Vec<f64>, Vec<Vec<Vec<f64>>>);
 /// Grid-aligned lockstep march: the ensemble macro step covers
 /// `k = min` over lanes' proposals grid cells; any lane's LTE reject or
 /// Newton failure halves `k` for everyone and the whole ensemble
-/// re-runs; `k = 1` delegates each lane to the scalar reference cell
-/// step. At one lane this is exactly the scalar aligned controller.
+/// re-runs; `k = 1` delegates each lane to the fixed-step reference
+/// cell step, so single-cell stretches are bitwise the fixed march.
 fn march_aligned_ensemble(
     lanes_st: &mut Lanes<'_, '_>,
     opts: &TranOptions,
@@ -481,8 +547,9 @@ fn march_aligned_ensemble(
 ) -> Result<InternalGrid> {
     let lanes = lanes_st.ckts.len();
     let (bps, hint) = merged_breakpoints(lanes_st.ckts, opts.t_stop);
-    // Barrier = first grid index at-or-after each breakpoint, with the
-    // same rounding-tolerant ceil as the scalar march.
+    // Barrier = first grid index at-or-after each breakpoint. The ceil is
+    // rounding-tolerant so a breakpoint sitting exactly on the grid does
+    // not spill into the next cell through FP noise.
     let mut barriers: Vec<usize> = bps
         .iter()
         .map(|&bp| {
@@ -497,17 +564,7 @@ fn march_aligned_ensemble(
         .collect();
     barriers.dedup();
 
-    let pairs: Vec<(NodeId, NodeId)> = lanes_st.ckts[0]
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist: Vec<CapHistory> = (0..lanes).map(|_| CapHistory::new(pairs.len())).collect();
-    for (l, h) in hist.iter_mut().enumerate() {
-        h.push(0.0, &pairs, lanes_st.lane(l));
-    }
+    let (pairs, mut hist) = lanes_st.cap_histories();
 
     let k_hint = if hint.is_finite() {
         ((hint / opts.dt).floor() as usize).max(1)
@@ -668,7 +725,7 @@ fn march_aligned_ensemble(
 /// per-lane controller proposals; any lane's LTE reject shrinks the
 /// step for the whole ensemble, any Newton failure halves it, and state
 /// is committed only when every lane accepts — so all lanes share one
-/// internal time grid. At one lane this is exactly the scalar free
+/// internal time grid. At one lane this is the single-circuit free
 /// controller.
 fn march_adaptive_ensemble(
     lanes_st: &mut Lanes<'_, '_>,
@@ -679,17 +736,7 @@ fn march_adaptive_ensemble(
 ) -> Result<InternalGrid> {
     let lanes = lanes_st.ckts.len();
     let (bps, hint) = merged_breakpoints(lanes_st.ckts, opts.t_stop);
-    let pairs: Vec<(NodeId, NodeId)> = lanes_st.ckts[0]
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist: Vec<CapHistory> = (0..lanes).map(|_| CapHistory::new(pairs.len())).collect();
-    for (l, h) in hist.iter_mut().enumerate() {
-        h.push(0.0, &pairs, lanes_st.lane(l));
-    }
+    let (pairs, mut hist) = lanes_st.cap_histories();
 
     let h_base = opts.dt.clamp(lte.h_min, lte.h_max);
     let h_restart = (h_base / 64.0).max(lte.h_min);

@@ -631,9 +631,10 @@ pub(crate) fn partition_allowed() -> bool {
 }
 
 /// March a partitioned fixed-grid transient from the given operating
-/// point. The caller (scalar [`super::tran::transient`] or the ensemble
-/// engine) has already opened its span and counted the analysis; this
-/// routine owns the partition counters.
+/// point. The caller ([`super::tran::transient`] or
+/// [`super::ensemble::ensemble_transient`], through the shared march)
+/// has already opened its span and counted the analysis; this routine
+/// owns the partition counters.
 pub(crate) fn march_partitioned(
     ckt: &Circuit,
     opts: &TranOptions,

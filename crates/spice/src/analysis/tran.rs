@@ -1,10 +1,12 @@
-//! Transient analysis with backward-Euler / trapezoidal companion models.
+//! Transient analysis with backward-Euler / trapezoidal companion models:
+//! the options, the result type, and the per-step pieces the march is
+//! built from (the cell step, the LTE estimate, dense output).
 //!
-//! Two stepping policies share the same recorded-grid interface:
+//! Three stepping policies share the same recorded-grid interface:
 //!
 //! * **Fixed-step** (the default): march the caller's uniform `dt` grid,
 //!   subdividing a step only when Newton fails. This is the reference
-//!   path used by the property tests.
+//!   policy the golden traces pin.
 //! * **Adaptive** (opt-in via [`TranOptions::adaptive`]): control the
 //!   internal step size with a local-truncation-error (LTE) estimate
 //!   from the capacitor companion history — grow `h` up to `h_max` in
@@ -13,11 +15,17 @@
 //!   the inner fallback. Results are emitted on the caller's uniform
 //!   grid via linear dense output, so downstream consumers see the same
 //!   interface either way.
+//! * **Grid-aligned adaptive** (opt-in via
+//!   [`TranOptions::adaptive_grid_aligned`]): the same controller, but
+//!   every internal step is a whole number of `dt` cells, so single-cell
+//!   stretches are bitwise the fixed-step march.
+//!
+//! All three run in one march, the lockstep march of
+//! [`super::ensemble`]; [`transient`] is its one-lane case.
 
-use crate::analysis::dc::{branch_map, DcOptions, OpPoint};
-use crate::analysis::engine::{
-    companion_terms, init_cap_states, v_node, CompanionCtx, Engine, NrOptions,
-};
+use crate::analysis::dc::OpPoint;
+use crate::analysis::engine::{companion_terms, v_node, CompanionCtx, Engine, NrOptions};
+use crate::analysis::ensemble::march;
 use crate::circuit::{Circuit, ElementId, NodeId};
 use crate::element::Element;
 use crate::error::SpiceError;
@@ -102,14 +110,6 @@ pub struct TranOptions {
     /// in the tolerance (see `spice.mos_bypassed` in
     /// `docs/OBSERVABILITY.md`).
     pub bypass_vtol: f64,
-    /// Preferred lane count per ensemble block for batched trace
-    /// acquisition (see [`TranOptions::ensemble`] and
-    /// [`crate::ensemble_transient`]). The ensemble engine itself takes
-    /// one circuit per lane and derives the actual lane count from the
-    /// slice it is given; this field is the scheduling hint upstream
-    /// acquisition loops use to chunk a trace campaign into blocks.
-    /// `1` (the default) means scalar trace-per-task acquisition.
-    pub ensemble_lanes: usize,
     /// Demand-driven refactorisation (modified Newton): keep solving
     /// Newton updates against the last numeric LU factors — across
     /// iterations *and* time steps, even when the adaptive controller
@@ -170,7 +170,6 @@ impl TranOptions {
             max_subdiv: 8,
             lte: None,
             bypass_vtol: 0.0,
-            ensemble_lanes: 1,
             jacobian_reuse: false,
             partition: false,
         }
@@ -345,49 +344,6 @@ impl TranOptions {
         self
     }
 
-    /// Builder-style ensemble lane-block width for batched trace
-    /// acquisition. [`crate::ensemble_transient`] itself infers the lane
-    /// count from the circuits it is handed; this hint tells upstream
-    /// acquisition schedulers how many input vectors to pack per
-    /// ensemble block. `1` keeps scalar trace-per-task acquisition.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcml_spice::{ensemble_transient, Circuit, SourceWave, TranOptions};
-    ///
-    /// let lane = |level: f64| {
-    ///     let mut c = Circuit::new();
-    ///     let vin = c.node("in");
-    ///     let out = c.node("out");
-    ///     c.vsource("V", vin, Circuit::GND, SourceWave::step(0.0, level, 1e-9));
-    ///     c.resistor("R", vin, out, 1.0e3);
-    ///     c.capacitor("C", out, Circuit::GND, 1.0e-12);
-    ///     (c, out)
-    /// };
-    /// // Four lanes: identical topology, different source amplitudes.
-    /// let lanes: Vec<_> = (1..=4).map(|k| lane(f64::from(k))).collect();
-    /// let ckts: Vec<Circuit> = lanes.iter().map(|(c, _)| c.clone()).collect();
-    ///
-    /// let opts = TranOptions::new(8e-9, 10e-12).ensemble(4);
-    /// assert_eq!(opts.ensemble_lanes, 4);
-    /// let results = ensemble_transient(&ckts, &opts).unwrap();
-    /// for (k, ((_, out), res)) in lanes.iter().zip(&results).enumerate() {
-    ///     let v = res.voltage(*out).last_value();
-    ///     assert!((v - (k + 1) as f64).abs() < 0.05, "lane {k}: {v}");
-    /// }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is zero.
-    #[must_use]
-    pub fn ensemble(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "need at least one ensemble lane");
-        self.ensemble_lanes = lanes;
-        self
-    }
-
     /// Builder-style demand-driven refactorisation (modified Newton):
     /// Newton updates keep using the last numeric LU factors — across
     /// iterations and across time steps, surviving adaptive step-size
@@ -518,7 +474,7 @@ pub struct TranResult {
 
 impl TranResult {
     /// Assemble a result from the marching loop's pieces — shared by the
-    /// scalar [`transient`] and the ensemble engine.
+    /// lockstep march and the partitioned march.
     pub(crate) fn from_parts(
         times: Vec<f64>,
         states: Vec<Vec<f64>>,
@@ -547,7 +503,7 @@ impl TranResult {
 
     /// Raw recorded unknown vectors, one per time point — node voltages
     /// first, then branch currents. The ensemble regression tests use
-    /// this to assert bit-identity against the scalar path.
+    /// this to assert bit-identity between entry points.
     #[cfg(test)]
     pub(crate) fn states_raw(&self) -> &[Vec<f64>] {
         &self.states
@@ -650,6 +606,12 @@ pub(crate) const T_SNAP: f64 = 1e-12;
 /// Recorded output is the same uniform `dt` grid as the fixed path,
 /// filled by linear dense output between internal points.
 ///
+/// This is the one-lane case of the lockstep march behind
+/// [`crate::ensemble_transient`]; it differs only in its observability
+/// (a `transient` span, one `spice.transients`, no
+/// `spice.ensemble_lanes`) and in leaving the unchanged-Jacobian reuse
+/// check off, which does not change the result bits.
+///
 /// # Errors
 ///
 /// Returns [`SpiceError::NoConvergence`] when a step fails at the smallest
@@ -657,123 +619,8 @@ pub(crate) const T_SNAP: f64 = 1e-12;
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
     let _span = mcml_obs::span(mcml_obs::Stage::Transient);
     mcml_obs::incr(mcml_obs::Counter::Transients);
-    let dc_opts = DcOptions {
-        solver: opts.solver,
-        ..DcOptions::default()
-    };
-    let op0 = ckt.dc_op_with(&dc_opts)?;
-    // Partitioned path: opt-in, fixed-grid only, and only when the
-    // circuit actually splits — everything else falls through to the
-    // monolithic reference march below, bit for bit.
-    if opts.partition && opts.lte.is_none() && crate::analysis::partition::partition_allowed() {
-        if let Some(structure) = crate::analysis::partition::PartitionStructure::build(ckt, true) {
-            return crate::analysis::partition::march_partitioned(ckt, opts, &structure, op0);
-        }
-    }
-    let mut engine = Engine::new(ckt);
-    let nr = opts.nr();
-    let trapezoidal = opts.integrator == Integrator::Trapezoidal;
-
-    let mut x = op0.state().to_vec();
-    let mut caps = init_cap_states(ckt, &x);
-    let stride = opts.record_stride.max(1);
-
-    // Step count covering [0, t_stop] exactly: when t_stop is not an
-    // integer multiple of dt, a naive `round` either drops the tail of
-    // the window or overshoots past t_stop; instead take `ceil` and clamp
-    // the final grid point to t_stop (the last step is simply shorter).
-    let ratio = opts.t_stop / opts.dt;
-    let n_steps = if (ratio - ratio.round()).abs() < 1e-6 * ratio.max(1.0) {
-        (ratio.round() as usize).max(1)
-    } else {
-        ratio.ceil() as usize
-    };
-    let mut times = Vec::with_capacity(n_steps / stride + 2);
-    let mut states = Vec::with_capacity(n_steps / stride + 2);
-    times.push(0.0);
-    states.push(x.clone());
-
-    let mut x_try = vec![0.0; x.len()];
-    let t_end;
-    let steps_taken;
-
-    if let Some(lte) = opts.lte {
-        let (int_times, int_states) = if lte.align_to_grid {
-            march_aligned(
-                ckt,
-                opts,
-                lte,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-                n_steps,
-            )?
-        } else {
-            march_adaptive(
-                ckt,
-                opts,
-                lte,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-            )?
-        };
-        t_end = *int_times.last().expect("adaptive march records t_stop");
-        steps_taken = int_times.len() - 1;
-        dense_output(
-            opts,
-            n_steps,
-            stride,
-            &int_times,
-            &int_states,
-            &mut times,
-            &mut states,
-        );
-    } else {
-        let mut t = 0.0;
-        let mut accepted = 0usize;
-        for step in 1..=n_steps {
-            let t_target = if step == n_steps {
-                opts.t_stop
-            } else {
-                opts.dt * step as f64
-            };
-            accepted += step_cell(
-                ckt,
-                opts,
-                &mut engine,
-                &nr,
-                trapezoidal,
-                &mut x,
-                &mut x_try,
-                &mut caps,
-                &mut t,
-                t_target,
-            )?;
-            if step % stride == 0 || step == n_steps {
-                times.push(t_target);
-                states.push(x.clone());
-            }
-        }
-        t_end = t;
-        steps_taken = accepted;
-    }
-
-    Ok(TranResult {
-        times,
-        states,
-        n_node_unk: engine.n_node_unk,
-        branch_of_elem: branch_map(ckt),
-        op0,
-        t_end,
-        steps_taken,
-    })
+    let mut lanes = march(std::slice::from_ref(ckt), opts, false)?;
+    Ok(lanes.pop().expect("one lane in, one result out"))
 }
 
 /// March from `*t` to `t_target`, subdividing on Newton failure — the
@@ -782,11 +629,11 @@ pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult> {
 /// (which keeps the two trajectories identical there). Snaps `*t` to
 /// the exact target on exit and returns the number of accepted
 /// sub-steps.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
+#[allow(clippy::too_many_arguments)] // one lane's march state, passed piecewise
 pub(crate) fn step_cell(
     ckt: &Circuit,
     opts: &TranOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
+    engine: &mut Engine<&Circuit>,
     nr: &NrOptions,
     trapezoidal: bool,
     x: &mut Vec<f64>,
@@ -931,326 +778,6 @@ pub(crate) fn lte_ratio(
         r_max = r_max.max(err / tol);
     }
     Some(r_max)
-}
-
-/// March the LTE-controlled variable grid from 0 to `t_stop`, returning
-/// the internal `(times, states)` including both endpoints.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
-fn march_adaptive(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    lte: AdaptiveOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
-    nr: &NrOptions,
-    trapezoidal: bool,
-    x: &mut Vec<f64>,
-    x_try: &mut Vec<f64>,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    // Merged source breakpoints and the curvature step ceiling.
-    let mut bps: Vec<f64> = Vec::new();
-    let mut hint = f64::INFINITY;
-    for (_, _, e) in ckt.elements() {
-        let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-            continue;
-        };
-        wave.breakpoints(opts.t_stop, &mut bps);
-        if let Some(h) = wave.max_step_hint() {
-            hint = hint.min(h);
-        }
-    }
-    bps.sort_by(f64::total_cmp);
-    bps.dedup_by(|a, b| (*a - *b).abs() <= T_SNAP * b.abs());
-
-    let pairs: Vec<(NodeId, NodeId)> = ckt
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist = CapHistory::new(pairs.len());
-    hist.push(0.0, &pairs, x);
-
-    // Restart step at t=0 and after each breakpoint. While the divided-
-    // difference history is too short the LTE cannot be evaluated and
-    // steps are accepted blindly, so restarts begin well below the
-    // caller's dt; the controller doubles back up within a few accepted
-    // steps once the history refills.
-    let h_base = opts.dt.clamp(lte.h_min, lte.h_max);
-    let h_restart = (h_base / 64.0).max(lte.h_min);
-    let p_ord = if trapezoidal { 3.0 } else { 2.0 }; // p + 1
-    let mut h_next = h_restart;
-    let mut bp_idx = 0usize;
-    let eps_t = opts.t_stop * T_SNAP;
-
-    let mut int_times = vec![0.0];
-    let mut int_states = vec![x.clone()];
-    let mut t = 0.0;
-    while opts.t_stop - t > eps_t {
-        while bp_idx < bps.len() && bps[bp_idx] <= t + eps_t {
-            bp_idx += 1;
-        }
-        let next_bp = bps.get(bp_idx).copied();
-        let h_hi = (opts.t_stop - t).min(lte.h_max).min(hint);
-        if h_hi <= 0.0 {
-            break;
-        }
-        let mut h_try = h_next.min(h_hi).max(lte.h_min.min(h_hi));
-        let mut lands_bp = false;
-        if let Some(bp) = next_bp {
-            if bp - t <= h_try + eps_t {
-                h_try = bp - t;
-                lands_bp = true;
-            }
-        }
-        let mut level = 0u32;
-        loop {
-            let ctx = CompanionCtx {
-                h: h_try,
-                trapezoidal,
-                caps,
-            };
-            x_try.clone_from(x);
-            match engine.solve_nr(x_try, t + h_try, Some(&ctx), ckt.gmin, 1.0, nr, "tran") {
-                Ok(()) => {
-                    let r = lte_ratio(&hist, &pairs, x_try, t + h_try, h_try, trapezoidal, lte);
-                    if let Some(r) = r {
-                        if r > 1.0 && h_try > lte.h_min * (1.0 + 1e-9) {
-                            mcml_obs::incr(mcml_obs::Counter::LteRejects);
-                            let f = (0.9 * r.powf(-1.0 / p_ord)).clamp(0.1, 0.5);
-                            h_try = (h_try * f).max(lte.h_min);
-                            lands_bp = false;
-                            continue;
-                        }
-                    }
-                    mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    mcml_obs::incr(mcml_obs::Counter::AdaptiveSteps);
-                    update_caps(ckt, caps, x_try, h_try, trapezoidal);
-                    std::mem::swap(x, x_try);
-                    t += h_try;
-                    if lands_bp {
-                        // Land bitwise-exactly on the corner.
-                        t = next_bp.expect("lands_bp implies a breakpoint");
-                    }
-                    if opts.t_stop - t <= eps_t {
-                        t = opts.t_stop;
-                    }
-                    // Step-size controller for the next step.
-                    let f = match r {
-                        Some(r) if r > 0.0 => (0.9 * r.powf(-1.0 / p_ord)).min(2.0),
-                        Some(_) => 2.0,
-                        None => 1.0,
-                    };
-                    let h_new = (h_try * f).clamp(lte.h_min, lte.h_max);
-                    if h_new > h_try {
-                        mcml_obs::incr(mcml_obs::Counter::HGrowths);
-                    }
-                    h_next = h_new;
-                    if lands_bp {
-                        hist.clear();
-                        h_next = h_restart;
-                    }
-                    hist.push(t, &pairs, x);
-                    int_times.push(t);
-                    int_states.push(x.clone());
-                    break;
-                }
-                Err(e) => {
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    level += 1;
-                    if level > opts.max_subdiv {
-                        return Err(retag_tran(e, t + h_try));
-                    }
-                    h_try /= 2.0;
-                    lands_bp = false;
-                }
-            }
-        }
-    }
-    Ok((int_times, int_states))
-}
-
-/// March the grid-aligned LTE-controlled variant: every internal step
-/// covers a whole number `k` of `dt` grid cells, so a `k = 1` step is
-/// *exactly* the fixed path's reference step (same target time, same
-/// Newton-failure subdivision). The controller leaps `k ≤ h_max/dt`
-/// cells through quiet regions and collapses to `k = 1` at edges,
-/// which bounds the drift against a fixed-step golden trace by the LTE
-/// tolerance in the quiet regions and by zero elsewhere. A macro step
-/// never jumps past the first grid point at-or-after a source
-/// breakpoint, so a discontinuity can't fall unseen inside a leap.
-#[allow(clippy::too_many_arguments)] // private worker sharing transient()'s locals
-fn march_aligned(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    lte: AdaptiveOptions,
-    engine: &mut Engine<impl std::borrow::Borrow<Circuit>>,
-    nr: &NrOptions,
-    trapezoidal: bool,
-    x: &mut Vec<f64>,
-    x_try: &mut Vec<f64>,
-    caps: &mut [Option<crate::analysis::engine::CapState>],
-    n_steps: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    // Merged source breakpoints and the curvature step ceiling.
-    let mut bps: Vec<f64> = Vec::new();
-    let mut hint = f64::INFINITY;
-    for (_, _, e) in ckt.elements() {
-        let (Element::Vsource { wave, .. } | Element::Isource { wave, .. }) = e else {
-            continue;
-        };
-        wave.breakpoints(opts.t_stop, &mut bps);
-        if let Some(h) = wave.max_step_hint() {
-            hint = hint.min(h);
-        }
-    }
-    bps.sort_by(f64::total_cmp);
-    // Barrier = first grid index at-or-after each breakpoint. The ceil is
-    // rounding-tolerant so a breakpoint sitting exactly on the grid does
-    // not spill into the next cell through FP noise.
-    let mut barriers: Vec<usize> = bps
-        .iter()
-        .map(|&bp| {
-            let q = bp / opts.dt;
-            let idx = if (q - q.round()).abs() < 1e-9 * q.max(1.0) {
-                q.round()
-            } else {
-                q.ceil()
-            };
-            (idx as usize).clamp(1, n_steps)
-        })
-        .collect();
-    barriers.dedup();
-
-    let pairs: Vec<(NodeId, NodeId)> = ckt
-        .elements()
-        .filter_map(|(_, _, e)| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let mut hist = CapHistory::new(pairs.len());
-    hist.push(0.0, &pairs, x);
-
-    let k_hint = if hint.is_finite() {
-        ((hint / opts.dt).floor() as usize).max(1)
-    } else {
-        usize::MAX
-    };
-    let k_max = ((lte.h_max / opts.dt).floor() as usize).max(1).min(k_hint);
-    let p_ord = if trapezoidal { 3.0 } else { 2.0 }; // p + 1
-    let grid_t = |i: usize| {
-        if i == n_steps {
-            opts.t_stop
-        } else {
-            opts.dt * i as f64
-        }
-    };
-
-    let mut int_times = vec![0.0];
-    let mut int_states = vec![x.clone()];
-    let mut t = 0.0;
-    let mut pos = 0usize;
-    let mut k_next = 1usize;
-    let mut bar_idx = 0usize;
-    while pos < n_steps {
-        while bar_idx < barriers.len() && barriers[bar_idx] <= pos {
-            bar_idx += 1;
-        }
-        let mut k = k_next.min(k_max).min(n_steps - pos).max(1);
-        if let Some(&bar) = barriers.get(bar_idx) {
-            k = k.min(bar - pos);
-        }
-        let r_used: Option<f64>;
-        loop {
-            let t_target = grid_t(pos + k);
-            if k == 1 {
-                // The fixed path's reference step, bitwise.
-                step_cell(
-                    ckt,
-                    opts,
-                    engine,
-                    nr,
-                    trapezoidal,
-                    x,
-                    x_try,
-                    caps,
-                    &mut t,
-                    t_target,
-                )?;
-                r_used = lte_ratio(&hist, &pairs, x, t, opts.dt, trapezoidal, lte);
-                break;
-            }
-            let h = t_target - t;
-            let ctx = CompanionCtx {
-                h,
-                trapezoidal,
-                caps,
-            };
-            x_try.clone_from(x);
-            match engine.solve_nr(x_try, t_target, Some(&ctx), ckt.gmin, 1.0, nr, "tran") {
-                Ok(()) => {
-                    let r = lte_ratio(&hist, &pairs, x_try, t_target, h, trapezoidal, lte);
-                    if let Some(rv) = r {
-                        if rv > 1.0 {
-                            mcml_obs::incr(mcml_obs::Counter::LteRejects);
-                            k /= 2;
-                            continue;
-                        }
-                    }
-                    mcml_obs::incr(mcml_obs::Counter::TranSteps);
-                    update_caps(ckt, caps, x_try, h, trapezoidal);
-                    std::mem::swap(x, x_try);
-                    t = t_target;
-                    r_used = r;
-                    break;
-                }
-                Err(_) => {
-                    // Shrink to a finer grid target; once k hits 1 the
-                    // cell march owns any further subdivision (and the
-                    // terminal error).
-                    mcml_obs::incr(mcml_obs::Counter::TranRetries);
-                    k /= 2;
-                }
-            }
-        }
-        mcml_obs::incr(mcml_obs::Counter::AdaptiveSteps);
-        let landed_barrier = barriers.get(bar_idx) == Some(&(pos + k));
-        pos += k;
-        if landed_barrier {
-            // Slope discontinuity behind us: divided differences across
-            // the corner are meaningless, so restart the controller.
-            hist.clear();
-            k_next = 1;
-        } else {
-            let grown = match r_used {
-                Some(r) => {
-                    let f = if r > 0.0 {
-                        0.9 * r.powf(-1.0 / p_ord)
-                    } else {
-                        f64::INFINITY
-                    };
-                    if f >= 2.0 {
-                        (k * 2).min(k_max)
-                    } else if r > 1.0 {
-                        1
-                    } else {
-                        k
-                    }
-                }
-                None => k,
-            };
-            if grown > k {
-                mcml_obs::incr(mcml_obs::Counter::HGrowths);
-            }
-            k_next = grown;
-        }
-        hist.push(t, &pairs, x);
-        int_times.push(t);
-        int_states.push(x.clone());
-    }
-    Ok((int_times, int_states))
 }
 
 /// Interpolate the internal variable grid onto the caller's uniform

@@ -1,16 +1,21 @@
-//! Property-based degeneracy of the ensemble transient.
+//! Property-based degeneracy of the lockstep transient march.
 //!
-//! A one-lane ensemble must be **bit-identical** to the scalar transient
-//! — same recorded grid, same node voltages, same branch currents, same
-//! step count — over random RC ladders and MOS inverter stages, for
-//! every stepping policy (fixed, free adaptive, grid-aligned adaptive,
-//! grid-aligned with demand-driven Jacobian refactorisation) and both
-//! integrators. The ensemble path shares the scalar path's
-//! step cells and controller formulas; this is the regression proving
-//! the sharing is exact, not approximate. A multi-lane companion
+//! `transient()` and `ensemble_transient()` run one march;
+//! `transient()` is its one-lane case. Two things still differ between
+//! the entry points: ensemble lanes switch on exact factor reuse
+//! (`reuse_unchanged_jacobian` — an assembly that evaluated no MOS
+//! device under an unchanged step reuses the factors instead of
+//! refactoring), and every ensemble step decision is a fold over lanes.
+//! The one-lane properties check that neither changes the result bits —
+//! same recorded grid, node voltages, branch currents and step count —
+//! over random RC ladders and MOS inverter stages, for every stepping
+//! policy (fixed, free adaptive, grid-aligned adaptive, grid-aligned
+//! with demand-driven Jacobian refactorisation) and both integrators.
+//! They do not compare two separate marches; the bit-level reference
+//! for the march itself is `trajectory_bits.rs`. A multi-lane companion
 //! property pins the other degeneracy: lanes of *identical* circuits
-//! march through identical states, so every lane reproduces the scalar
-//! waveform to solver precision.
+//! march through identical states, so every lane reproduces the
+//! single-lane waveform to solver precision.
 
 use proptest::prelude::*;
 
@@ -21,8 +26,8 @@ use mcml_spice::{ensemble_transient, Circuit, Integrator, SourceWave, TranOption
 /// base. The last one layers the demand-driven refactorisation (chord)
 /// policy on the grid-aligned controller — the exact combination the
 /// ensemble campaign runs — and is covered by the same bitwise N=1
-/// contract: the policy lives inside the shared Newton loop, so scalar
-/// and ensemble take identical decisions given identical options.
+/// contract: the policy lives inside the shared Newton loop, so both
+/// entry points take identical decisions given identical options.
 fn policy(base: &TranOptions, which: u8) -> TranOptions {
     match which % 4 {
         0 => *base,
