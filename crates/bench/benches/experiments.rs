@@ -15,6 +15,7 @@ use mcml_sim::{circuit_current, CurrentModel, EventSim, Stimulus};
 use mcml_spice::matrix::{SolverKind, SystemMatrix};
 use pg_mcml::elaborate::elaborate;
 use pg_mcml::experiments::table1;
+use pg_mcml::Parallelism;
 
 /// Table 1 pipeline: the layout-area model.
 fn bench_table1(c: &mut Criterion) {
@@ -104,8 +105,14 @@ fn bench_fig6(c: &mut Criterion) {
         b.iter_batched(
             || (),
             |()| {
-                pg_mcml::experiments::fig6_transistor(&params, 0x5, LogicStyle::PgMcml, &[0x0, 0x9])
-                    .unwrap()
+                pg_mcml::experiments::fig6_transistor_par(
+                    &params,
+                    0x5,
+                    LogicStyle::PgMcml,
+                    &[0x0, 0x9],
+                    Parallelism::from_env(),
+                )
+                .unwrap()
             },
             BatchSize::PerIteration,
         );

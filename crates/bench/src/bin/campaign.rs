@@ -5,15 +5,15 @@
 //!
 //! Usage: `cargo run --release -p mcml-bench --bin campaign --
 //! [--traces <n>] [--noise <rel>] [--seed <u64>] [--lanes <n>]
-//! [--style cmos|pg-mcml] [--key <hex>] [--check-serial]`
+//! [--style cmos|pg-mcml] [--key <hex>]`
 //!
 //! The 16 distinct base waveforms are simulated once (one 16-lane
 //! ensemble block by default), then N noisy acquisitions stream into
 //! the online CPA accumulator in index order — reruns with the same
-//! arguments are bit-identical. `--check-serial` re-runs the campaign
-//! with scalar (lane-per-transient) acquisition and verifies the two
-//! verdicts agree, which is the cheap end-to-end proof that the lane
-//! count is a pure performance knob.
+//! arguments are bit-identical. That the lane count is a pure
+//! performance knob (`--lanes 1` and `--lanes 16` reach the same
+//! verdict) is pinned by the `cpa_campaign_deterministic_and_lane_invariant`
+//! test in `pg-mcml`.
 
 use mcml_cells::{CellParams, LogicStyle};
 use pg_mcml::experiments::cpa_campaign;
@@ -26,7 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut lanes: usize = 16;
     let mut style = LogicStyle::PgMcml;
     let mut key: u8 = 0xb;
-    let mut check_serial = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut val = || args.next().ok_or(format!("`{a}` needs a value"));
@@ -47,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     other => return Err(format!("unknown style `{other}`").into()),
                 };
             }
-            "--check-serial" => check_serial = true,
             other => return Err(format!("unknown argument `{other}`").into()),
         }
     }
@@ -82,32 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         wall,
         1e6 * wall / traces as f64
     );
-
-    if check_serial {
-        let serial = cpa_campaign(
-            &params,
-            key,
-            style,
-            traces,
-            noise,
-            seed,
-            1,
-            Parallelism::from_env(),
-        )?;
-        let s = &serial.verdict;
-        println!(
-            "serial:  rank {} margin {:.4} peak_correct {:.4} best_wrong {:.4}",
-            s.rank, s.margin, s.peak_correct, s.best_wrong
-        );
-        if s.rank != v.rank {
-            return Err(format!(
-                "ensemble and serial campaigns disagree: rank {} vs {}",
-                v.rank, s.rank
-            )
-            .into());
-        }
-        println!("OK: ensemble and serial acquisition reach the same verdict");
-    }
 
     mcml_obs::finish("campaign", 1);
     Ok(())

@@ -32,8 +32,8 @@
 //!   LU, MOS bypass cache) is freshly built inside the timed region —
 //!   that construction cost is part of what the tier measures.
 //! - `fig6_ensemble` — all 16 plaintexts as one 16-lane ensemble block
-//!   (shared stamp plan + symbolic LU, lockstep march, traces streamed
-//!   into the online CPA accumulator). Identical cold-cache state to
+//!   (shared stamp plan + symbolic LU, lockstep march), then the same
+//!   CPA as `fig6_tran`. Identical cold-cache state to
 //!   `fig6_tran`, so the two tiers' *per-trace* walls divide into an
 //!   honest speedup.
 //! - `table3_char` — characterises all 16 PG-MCML cells **from a cold
@@ -88,6 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let params = CellParams::default();
     let host = HostInfo::capture();
+    // Start the obs report's run clock; each tier's numbers are counter
+    // deltas and do not depend on it.
+    mcml_obs::reset();
     println!(
         "spiceperf — SPICE inner-loop timing (label `{label}`, median of {reps} reps, \
          {} cores, MCML_THREADS={}, {} build)\n",
@@ -125,8 +128,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tier 1b: the campaign's real acquisition unit — all 16 plaintext
     // base waveforms as one 16-lane ensemble block (shared stamp plan +
     // symbolic LU, per-lane cold DC, lockstep march with demand-driven
-    // refactorisation, traces streamed into the online CPA
-    // accumulator). Same cold-cache state as `fig6_tran`; the
+    // refactorisation), then the same CPA as `fig6_tran`. Same
+    // cold-cache state as `fig6_tran`; the
     // *per-trace* wall against that tier — each tier's wall divided by
     // its trace count — is the batched engine's headline speedup.
     let ens_plaintexts: Vec<u8> = (0..16).collect();

@@ -58,22 +58,6 @@ pub fn fmt_current(a: f64) -> String {
     }
 }
 
-/// One-line wall-clock report for a serial baseline against a parallel
-/// run on `workers` workers.
-#[must_use]
-pub fn speedup_line(
-    serial: std::time::Duration,
-    parallel: std::time::Duration,
-    workers: usize,
-) -> String {
-    let s = serial.as_secs_f64();
-    let p = parallel.as_secs_f64();
-    format!(
-        "wall-clock: serial {s:.2} s, parallel {p:.2} s on {workers} workers — {:.2}× speedup",
-        s / p.max(1e-9)
-    )
-}
-
 /// Render a crude ASCII sparkline of a series.
 #[must_use]
 pub fn sparkline(values: &[f64], width: usize) -> String {
@@ -114,17 +98,6 @@ mod tests {
     fn current_units() {
         assert_eq!(fmt_current(30e-3), "30.00 mA");
         assert_eq!(fmt_current(50e-6), "50.00 µA");
-    }
-
-    #[test]
-    fn speedup_line_reports_ratio() {
-        let line = speedup_line(
-            std::time::Duration::from_secs(4),
-            std::time::Duration::from_secs(2),
-            4,
-        );
-        assert!(line.contains("2.00×"), "{line}");
-        assert!(line.contains("4 workers"), "{line}");
     }
 
     #[test]

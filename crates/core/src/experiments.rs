@@ -23,7 +23,7 @@ use mcml_spice::{Circuit, SourceWave, TranOptions, Waveform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::elaborate::checked_elaborate;
+use crate::elaborate::{checked_elaborate, Elaborated};
 use crate::flow::{DesignFlow, Result};
 
 // ---------------------------------------------------------------- Table 1
@@ -508,25 +508,14 @@ pub fn fig6_mtd(
 }
 
 /// Fig. 6, transistor tier: 4-bit reduced AES simulated in full SPICE
-/// for every plaintext at a fixed 4-bit key. This is the genuinely
-/// transistor-level leg of the security claim; the paper's 1 µA / 1 ps
-/// acquisition translates to the simulator's native resolution.
+/// for every plaintext at a fixed 4-bit key, one transient per plaintext.
+/// This is the genuinely transistor-level leg of the security claim; the
+/// paper's 1 µA / 1 ps acquisition translates to the simulator's native
+/// resolution. Each plaintext's transient is an independent work item and
+/// traces assemble in plaintext order, so the result is identical for any
+/// thread count.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig6_transistor(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintexts: &[u8],
-) -> Result<(Fig6Row, CpaResult)> {
-    fig6_transistor_par(params, key, style, plaintexts, Parallelism::from_env())
-}
-
-/// [`fig6_transistor`] with an explicit thread-count knob: each plaintext's
-/// full SPICE transient is an independent work item; traces assemble in
-/// plaintext order, so the result is identical for any thread count.
+/// This is [`fig6_transistor_ensemble`] with one lane per transient.
 ///
 /// # Errors
 ///
@@ -538,29 +527,39 @@ pub fn fig6_transistor_par(
     plaintexts: &[u8],
     par: Parallelism,
 ) -> Result<(Fig6Row, CpaResult)> {
-    let reduced = ReducedAes::new(4);
-    // The registered design, like the paper's synthesised block: the
-    // plaintext/key pair settles combinationally, then the output
-    // register captures S(p ⊕ k) on the clock edge — the moment whose
-    // supply charge carries the Hamming-weight leak (in CMOS).
-    let nl: Netlist = reduced.build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    // Every plaintext gets its own clone of the elaborated circuit and a
-    // full transistor-level transient — the expensive, perfectly
-    // independent work items of this tier.
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options();
-    let rows = mcml_exec::parallel_map_items(par, plaintexts, |&p| {
-        fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
-    });
+    fig6_transistor_ensemble(params, key, style, plaintexts, 1, par)
+}
+
+/// Fig. 6, transistor tier with batched acquisition: plaintexts are
+/// chunked into `lanes`-wide blocks, each block runs as **one ensemble
+/// transient** over a shared stamp plan and symbolic LU
+/// ([`mcml_spice::ensemble_transient`]), blocks fan across the worker
+/// pool, and the rows are attacked in plaintext order. `lanes <= 1` is
+/// the scalar tier, [`fig6_transistor_par`].
+///
+/// Verdict contract: ensemble lanes share step decisions, so the rows
+/// depend on the block width (never on the thread count) and agree with
+/// the scalar transients to solver precision, far inside the attack's
+/// distinguishability margins (the regression tests pin both).
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn fig6_transistor_ensemble(
+    params: &CellParams,
+    key: u8,
+    style: LogicStyle,
+    plaintexts: &[u8],
+    lanes: usize,
+    par: Parallelism,
+) -> Result<(Fig6Row, CpaResult)> {
+    let bench = Aes4Bench::new(params, style, true)?;
+    let rows = fig6_acquire(&bench, key, plaintexts, lanes, par)?;
     let mut ts = TraceSet::new(FIG6_N_SAMPLES);
-    for (&p, row) in plaintexts.iter().zip(rows) {
-        ts.push(p, &row?);
+    for (&p, row) in plaintexts.iter().zip(&rows) {
+        ts.push(p, row);
     }
+    let reduced = ReducedAes::new(4);
     let model = HammingWeight::new(|x| reduced.sbox(x), 4);
     let r = cpa_attack_par(&ts, &model, par);
     Ok((verdict(style, usize::from(key), &r, ts.n_traces()), r))
@@ -572,7 +571,7 @@ const FIG6_T_STOP: f64 = 3.6e-9;
 const FIG6_N_SAMPLES: usize = 60;
 
 /// Adaptive-stepping knobs of the fig. 6 transient (see
-/// [`fig6_plaintext_trace`]): tight enough that the golden supply-trace
+/// [`fig6_tran_options`]): tight enough that the golden supply-trace
 /// samples stay within their 1e-4 relative pin, loose enough that the
 /// quiet pre-edge window collapses into a handful of steps.
 const FIG6_RELTOL: f64 = 1e-6;
@@ -614,102 +613,140 @@ pub fn fig6_tran_options() -> TranOptions {
     opts
 }
 
-/// The driven fig. 6 lane circuit for one plaintext: constant
-/// plaintext/key rails plus the single clock edge, ready for a transient
-/// run. Every plaintext produces the **same topology** — element order,
-/// nodes and resistor values are identical, only DC source levels differ
-/// — which is exactly the sharing contract of
-/// [`mcml_spice::ensemble_transient`], so a block of these circuits can
-/// march lockstep over one stamp plan.
-fn fig6_lane_circuit(
-    el: &crate::elaborate::Elaborated,
+/// The elaborated 4-bit reduced-AES testbench of the fig. 6 and
+/// `aes_tran` tiers, with the input rail levels of its style.
+struct Aes4Bench {
+    el: Elaborated,
     v_lo: f64,
     v_hi: f64,
-    key: u8,
-    p: u8,
-) -> Circuit {
-    let mut ckt: Circuit = el.circuit.clone();
-    let drive_const = |ckt: &mut Circuit, name: &str, v: bool| {
-        let (np, nn) = el.inputs[name];
-        let (lp, ln) = if v { (v_hi, v_lo) } else { (v_lo, v_hi) };
-        ckt.vsource(&format!("V{name}"), np, Circuit::GND, SourceWave::dc(lp));
+}
+
+impl Aes4Bench {
+    /// Build the netlist and elaborate it behind the lint gate. Fig. 6
+    /// uses the registered design, like the paper's synthesised block:
+    /// the plaintext/key pair settles combinationally, then the output
+    /// register captures S(p ⊕ k) on the clock edge — the moment whose
+    /// supply charge carries the Hamming-weight leak (in CMOS).
+    /// `aes_tran` uses the bare S-box (see [`aes_tran_trace`]).
+    fn new(params: &CellParams, style: LogicStyle, registered: bool) -> Result<Self> {
+        let reduced = ReducedAes::new(4);
+        let nl: Netlist = if registered {
+            reduced.build_registered_netlist(style)
+        } else {
+            reduced.build_netlist(style)
+        };
+        let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
+        let v_lo = match style {
+            LogicStyle::Cmos => 0.0,
+            _ => params.v_low(),
+        };
+        Ok(Aes4Bench {
+            el,
+            v_lo,
+            v_hi: params.tech.vdd,
+        })
+    }
+
+    /// Drive input `name` through source `V{name}` (and `V{name}n` on the
+    /// complement rail of the differential styles): at `from`'s logic
+    /// level until the fig. 6 clock edge, then at `to`'s — a DC source
+    /// when the two agree.
+    fn drive(&self, ckt: &mut Circuit, name: &str, from: bool, to: bool) {
+        let level = |b: bool| if b { self.v_hi } else { self.v_lo };
+        let wave = |a: f64, b: f64| {
+            if from == to {
+                SourceWave::dc(a)
+            } else {
+                SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
+            }
+        };
+        let (np, nn) = self.el.inputs[name];
+        ckt.vsource(
+            &format!("V{name}"),
+            np,
+            Circuit::GND,
+            wave(level(from), level(to)),
+        );
         if let Some(nn) = nn {
-            ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, SourceWave::dc(ln));
+            let complement = wave(level(!from), level(!to));
+            ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, complement);
         }
-    };
-    for b in 0..4u8 {
-        drive_const(&mut ckt, &format!("k{b}"), (key >> b) & 1 == 1);
-        drive_const(&mut ckt, &format!("p{b}"), (p >> b) & 1 == 1);
     }
-    // Clock: one rising edge after the combinational logic settles.
-    let (cp, cn) = el.inputs["clk"];
-    let edge = |a: f64, b: f64| {
-        SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
-    };
-    ckt.vsource("VCLK", cp, Circuit::GND, edge(v_lo, v_hi));
-    if let Some(cn) = cn {
-        ckt.vsource("VCLKn", cn, Circuit::GND, edge(v_hi, v_lo));
+
+    /// The driven fig. 6 lane circuit for one plaintext: constant
+    /// plaintext/key rails plus the single clock edge, ready for a
+    /// transient run. Every plaintext produces the **same topology** —
+    /// element order, nodes and resistor values are identical, only DC
+    /// source levels differ — which is exactly the sharing contract of
+    /// [`mcml_spice::ensemble_transient`], so a block of these circuits
+    /// can march lockstep over one stamp plan.
+    fn fig6_lane(&self, key: u8, p: u8) -> Circuit {
+        let mut ckt: Circuit = self.el.circuit.clone();
+        for b in 0..4u8 {
+            let k = (key >> b) & 1 == 1;
+            let x = (p >> b) & 1 == 1;
+            self.drive(&mut ckt, &format!("k{b}"), k, k);
+            self.drive(&mut ckt, &format!("p{b}"), x, x);
+        }
+        // Clock: one rising edge after the combinational logic settles.
+        self.drive(&mut ckt, "clk", false, true);
+        ckt
     }
-    ckt
+
+    /// Resample one lane's supply current over the fig. 6 capture window.
+    fn supply(&self, res: &mcml_spice::TranResult) -> Result<Vec<f64>> {
+        let i: Waveform =
+            res.supply_current(self.el.vdd_src)
+                .ok_or(mcml_spice::SpiceError::EmptyWaveform {
+                    op: "supply current",
+                    len: 0,
+                })?;
+        let w = i.try_resample(FIG6_T_EDGE - 0.1e-9, FIG6_T_STOP - 0.1e-9, FIG6_N_SAMPLES)?;
+        Ok(w.values().to_vec())
+    }
 }
 
-/// Resample one lane's supply current over the fig. 6 capture window.
-fn fig6_extract_supply(
-    res: &mcml_spice::TranResult,
-    el: &crate::elaborate::Elaborated,
-) -> Result<Vec<f64>> {
-    let i: Waveform =
-        res.supply_current(el.vdd_src)
-            .ok_or(mcml_spice::SpiceError::EmptyWaveform {
-                op: "supply current",
-                len: 0,
-            })?;
-    let w = i.try_resample(FIG6_T_EDGE - 0.1e-9, FIG6_T_STOP - 0.1e-9, FIG6_N_SAMPLES)?;
-    Ok(w.values().to_vec())
-}
-
-/// One plaintext's supply-current trace of the fig. 6 transistor tier:
-/// drive the registered reduced-AES design with `(key, p)`, fire the
-/// clock edge, run the full transient, and resample the Vdd current over
-/// the capture window.
-fn fig6_plaintext_trace(
-    el: &crate::elaborate::Elaborated,
-    v_lo: f64,
-    v_hi: f64,
+/// The fig. 6 acquisition: one supply-current row per plaintext, in
+/// plaintext order. `lanes <= 1` runs one [`fig6_tran_options`]
+/// transient per plaintext; wider runs `lanes`-wide ensemble blocks with
+/// chord Jacobian reuse. Plaintexts (or blocks) fan across the worker
+/// pool, and the rows are identical for any thread count.
+fn fig6_acquire(
+    bench: &Aes4Bench,
     key: u8,
-    p: u8,
-    tran_opts: &TranOptions,
-) -> Result<Vec<f64>> {
-    let ckt = fig6_lane_circuit(el, v_lo, v_hi, key, p);
-    let res = ckt.transient(tran_opts)?;
-    fig6_extract_supply(&res, el)
+    plaintexts: &[u8],
+    lanes: usize,
+    par: Parallelism,
+) -> Result<Vec<Vec<f64>>> {
+    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
+    if lanes <= 1 {
+        let tran_opts = fig6_tran_options();
+        return mcml_exec::parallel_map_items(par, plaintexts, |&p| {
+            bench.supply(&bench.fig6_lane(key, p).transient(&tran_opts)?)
+        })
+        .into_iter()
+        .collect();
+    }
+    let tran_opts = fig6_tran_options().with_jacobian_reuse();
+    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes).collect();
+    let block_rows = mcml_exec::parallel_map_items(par, &blocks, |block| {
+        let ckts: Vec<Circuit> = block.iter().map(|&p| bench.fig6_lane(key, p)).collect();
+        mcml_spice::ensemble_transient(&ckts, &tran_opts)?
+            .iter()
+            .map(|r| bench.supply(r))
+            .collect::<Result<Vec<_>>>()
+    });
+    let mut rows = Vec::with_capacity(plaintexts.len());
+    for block in block_rows {
+        rows.extend(block?);
+    }
+    Ok(rows)
 }
 
-/// The raw supply-current trace of a single fig. 6 plaintext — the
-/// golden-waveform regression hook: solver changes must keep these
-/// samples inside the committed tolerances.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig6_supply_trace(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintext: u8,
-) -> Result<Vec<f64>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintext, &fig6_tran_options())
-}
-
-/// [`fig6_supply_trace`] with an explicit stepping policy — the hook the
-/// adaptive-vs-fixed equivalence tests and the perf harness use to
-/// compare the two paths on the real fig. 6 circuit.
+/// The supply-current trace of a single fig. 6 plaintext under an
+/// explicit stepping policy — the golden-waveform regression hook (with
+/// [`fig6_tran_options`]) and the adaptive-vs-fixed equivalence tests'
+/// way to compare policies on the real fig. 6 circuit.
 ///
 /// # Errors
 ///
@@ -721,13 +758,8 @@ pub fn fig6_supply_trace_with(
     plaintext: u8,
     tran_opts: &TranOptions,
 ) -> Result<Vec<f64>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    fig6_plaintext_trace(&el, v_lo, v_hi, key, plaintext, tran_opts)
+    let bench = Aes4Bench::new(params, style, true)?;
+    bench.supply(&bench.fig6_lane(key, plaintext).transient(tran_opts)?)
 }
 
 /// Quiescent-MOS bypass tolerance (V) of the `aes_tran` partition tier —
@@ -806,123 +838,23 @@ pub fn aes_tran_tier(
     plaintexts: &[u8],
     tran_opts: &TranOptions,
 ) -> Result<Vec<Vec<f64>>> {
-    let nl: Netlist = ReducedAes::new(4).build_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    let edge = |a: f64, b: f64| {
-        SourceWave::Pwl(vec![(0.0, a), (FIG6_T_EDGE, a), (FIG6_T_EDGE + 50e-12, b)])
-    };
+    let bench = Aes4Bench::new(params, style, false)?;
     plaintexts
         .iter()
         .map(|&plaintext| {
-            let mut ckt: Circuit = el.circuit.clone();
-            let mut drive = |name: &str, bit: bool, switches: bool| {
-                let (np, nn) = el.inputs[name];
-                let (lp, ln) = if bit { (v_hi, v_lo) } else { (v_lo, v_hi) };
-                let (wp, wn) = if switches && bit {
-                    // This bit rises at the edge; its complement falls.
-                    (edge(v_lo, v_hi), edge(v_hi, v_lo))
-                } else {
-                    (SourceWave::dc(lp), SourceWave::dc(ln))
-                };
-                ckt.vsource(&format!("V{name}"), np, Circuit::GND, wp);
-                if let Some(nn) = nn {
-                    ckt.vsource(&format!("V{name}n"), nn, Circuit::GND, wn);
-                }
-            };
+            let mut ckt: Circuit = bench.el.circuit.clone();
             for b in 0..4u8 {
-                drive(&format!("k{b}"), (key >> b) & 1 == 1, false);
+                let k = (key >> b) & 1 == 1;
+                bench.drive(&mut ckt, &format!("k{b}"), k, k);
                 // Plaintext bits launch from all-zeros at the edge, so
                 // the data-dependent switching activity lands inside the
                 // capture window exactly like the registered fig. 6
                 // tier's clock edge.
-                drive(&format!("p{b}"), (plaintext >> b) & 1 == 1, true);
+                bench.drive(&mut ckt, &format!("p{b}"), false, (plaintext >> b) & 1 == 1);
             }
-            let res = ckt.transient(tran_opts)?;
-            fig6_extract_supply(&res, &el)
+            bench.supply(&ckt.transient(tran_opts)?)
         })
         .collect()
-}
-
-/// [`fig6_transistor_par`]'s batched sibling: plaintexts are chunked into
-/// `lanes`-wide blocks, each block runs as **one ensemble transient**
-/// over a shared stamp plan and symbolic LU
-/// ([`mcml_spice::ensemble_transient`]), blocks fan across the worker
-/// pool, and completed lanes stream — in plaintext order — into the
-/// online CPA accumulator. The full trace matrix is never materialised:
-/// peak memory is one block of lane states plus the
-/// `O(guesses × samples)` accumulator, regardless of how many plaintexts
-/// the campaign sweeps.
-///
-/// Verdict contract: the streamed accumulator folds traces in the same
-/// plaintext order as [`fig6_transistor_par`] pushes them, so reruns with
-/// the same arguments are bit-identical, and verdicts (key rank, margin)
-/// match the trace-per-task path — the ensemble lanes and the scalar
-/// transients agree to solver precision, far inside the attack's
-/// distinguishability margins (the regression tests pin both).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig6_transistor_ensemble(
-    params: &CellParams,
-    key: u8,
-    style: LogicStyle,
-    plaintexts: &[u8],
-    lanes: usize,
-    par: Parallelism,
-) -> Result<(Fig6Row, CpaResult)> {
-    let reduced = ReducedAes::new(4);
-    let nl: Netlist = reduced.build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
-    let tran_opts = fig6_tran_options().with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes.max(1)).collect();
-    let el_ref = &el;
-    let opts_ref = &tran_opts;
-    let acc = CpaAccumulator::new(HammingWeight::new(|x| reduced.sbox(x), 4), FIG6_N_SAMPLES);
-    let (acc, first_err) = mcml_exec::parallel_fold_ordered(
-        par,
-        blocks.len(),
-        (acc, None),
-        |b| -> Result<Vec<Vec<f64>>> {
-            let block = blocks[b];
-            let ckts: Vec<Circuit> = block
-                .iter()
-                .map(|&p| fig6_lane_circuit(el_ref, v_lo, v_hi, key, p))
-                .collect();
-            let results = mcml_spice::ensemble_transient(&ckts, opts_ref)?;
-            results
-                .iter()
-                .map(|r| fig6_extract_supply(r, el_ref))
-                .collect()
-        },
-        |(acc, first_err), b, rows| match rows {
-            Ok(rows) => {
-                for (&p, row) in blocks[b].iter().zip(&rows) {
-                    mcml_obs::incr(mcml_obs::Counter::TracesAcquired);
-                    acc.push(p, row);
-                }
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    *first_err = Some(e);
-                }
-            }
-        },
-    );
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let r = acc.finish();
-    Ok((verdict(style, usize::from(key), &r, plaintexts.len()), r))
 }
 
 /// The 16 distinct base supply-current waveforms of the 4-bit fig. 6
@@ -944,41 +876,9 @@ pub fn fig6_base_waveforms(
     lanes: usize,
     par: Parallelism,
 ) -> Result<Vec<Vec<f64>>> {
-    let nl: Netlist = ReducedAes::new(4).build_registered_netlist(style);
-    let el = checked_elaborate(&nl, params, &mcml_lint::LintEngine::with_default_rules())?;
-    let (v_lo, v_hi) = match style {
-        LogicStyle::Cmos => (0.0, params.tech.vdd),
-        _ => (params.v_low(), params.tech.vdd),
-    };
-    let _span = mcml_obs::span(mcml_obs::Stage::SpiceTier);
+    let bench = Aes4Bench::new(params, style, true)?;
     let plaintexts: Vec<u8> = (0..16u8).collect();
-    if lanes <= 1 {
-        let tran_opts = fig6_tran_options();
-        let rows = mcml_exec::parallel_map_items(par, &plaintexts, |&p| {
-            fig6_plaintext_trace(&el, v_lo, v_hi, key, p, &tran_opts)
-        });
-        return rows.into_iter().collect();
-    }
-    let tran_opts = fig6_tran_options().with_jacobian_reuse();
-    let blocks: Vec<&[u8]> = plaintexts.chunks(lanes).collect();
-    let el_ref = &el;
-    let block_rows =
-        mcml_exec::parallel_map_items(par, &blocks, |block| -> Result<Vec<Vec<f64>>> {
-            let ckts: Vec<Circuit> = block
-                .iter()
-                .map(|&p| fig6_lane_circuit(el_ref, v_lo, v_hi, key, p))
-                .collect();
-            let results = mcml_spice::ensemble_transient(&ckts, &tran_opts)?;
-            results
-                .iter()
-                .map(|r| fig6_extract_supply(r, el_ref))
-                .collect()
-        });
-    let mut rows = Vec::with_capacity(16);
-    for block in block_rows {
-        rows.extend(block?);
-    }
-    Ok(rows)
+    fig6_acquire(&bench, key, &plaintexts, lanes, par)
 }
 
 /// Outcome of a streaming CPA campaign ([`cpa_campaign`]).

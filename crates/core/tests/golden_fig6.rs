@@ -10,7 +10,7 @@
 use mcml_cells::{CellParams, LogicStyle};
 use mcml_spice::TranOptions;
 use pg_mcml::experiments::{
-    fig6_base_waveforms, fig6_supply_trace, fig6_supply_trace_with, fig6_tran_options,
+    fig6_base_waveforms, fig6_supply_trace_with, fig6_tran_options, fig6_transistor_par,
 };
 use pg_mcml::Parallelism;
 
@@ -40,8 +40,14 @@ const ABS_TOL: f64 = 1e-9;
 
 #[test]
 fn fig6_pg_mcml_trace_matches_golden() {
-    let trace = fig6_supply_trace(&CellParams::default(), 0xb, LogicStyle::PgMcml, 0x3)
-        .expect("transistor-tier trace");
+    let trace = fig6_supply_trace_with(
+        &CellParams::default(),
+        0xb,
+        LogicStyle::PgMcml,
+        0x3,
+        &fig6_tran_options(),
+    )
+    .expect("transistor-tier trace");
     assert_eq!(trace.len(), 60, "capture window sampling");
     let picked: Vec<f64> = trace.iter().copied().step_by(GOLDEN_STRIDE).collect();
     assert_eq!(picked.len(), GOLDEN_SAMPLES.len());
@@ -174,4 +180,81 @@ fn fig6_adaptive_drift_vs_fixed_below_pin_tolerance() {
         worst = worst.max((a - f).abs() / f.abs().max(ABS_TOL));
     }
     assert!(worst <= REL_TOL, "worst adaptive-vs-fixed drift {worst:e}");
+}
+
+/// FNV-1a over 64-bit words, for the bit-level pins below.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn samples(&mut self, values: &[f64]) {
+        self.word(values.len() as u64);
+        for v in values {
+            self.word(v.to_bits());
+        }
+    }
+}
+
+/// Bit-level pins of the fig. 6 acquisition path: every sample bit of
+/// the 16 PG-MCML base waveforms, acquired lane by lane and as one
+/// 16-lane ensemble block, and every correlation-peak bit of the scalar
+/// CMOS attack over six plaintexts. The tolerance pins above bound the
+/// physics; these catch any change to what the acquisition computes,
+/// however small.
+///
+/// A mismatch prints every computed hash, so a deliberate change can be
+/// re-pinned in one pass.
+#[test]
+fn fig6_acquisition_bits_are_pinned() {
+    let params = CellParams::default();
+    let mut got = Vec::new();
+    for lanes in [1, 16] {
+        let rows =
+            fig6_base_waveforms(&params, 0xb, LogicStyle::PgMcml, lanes, Parallelism::Serial)
+                .expect("base waveforms");
+        let mut h = Fnv::new();
+        h.word(rows.len() as u64);
+        for row in &rows {
+            h.samples(row);
+        }
+        got.push((format!("PG-MCML base waveforms, {lanes} lane(s)"), h.0));
+    }
+    let plaintexts: Vec<u8> = (0..6).collect();
+    let (_, r) = fig6_transistor_par(
+        &params,
+        0xb,
+        LogicStyle::Cmos,
+        &plaintexts,
+        Parallelism::Serial,
+    )
+    .expect("CMOS transistor tier");
+    let mut h = Fnv::new();
+    h.samples(&r.peak);
+    got.push(("CMOS CPA peaks, 6 plaintexts".to_owned(), h.0));
+
+    let expected: [u64; 3] = [
+        0x3c0e_5eb6_750c_c037,
+        0x5918_3831_fae9_f516,
+        0xcd83_7ee6_b2ca_e6ce,
+    ];
+    let report: String = got
+        .iter()
+        .zip(expected)
+        .map(|((label, g), e)| {
+            let flag = if *g == e { "" } else { "  <-- differs" };
+            format!("  {label}: 0x{g:016x}{flag}\n")
+        })
+        .collect();
+    let hashes: Vec<u64> = got.iter().map(|&(_, g)| g).collect();
+    assert_eq!(hashes, expected, "fig. 6 acquisition bits moved:\n{report}");
 }

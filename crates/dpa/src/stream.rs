@@ -5,9 +5,9 @@
 //! [`welch_t_test`](crate::tvla::welch_t_test) entry points are two-pass:
 //! they need the whole [`TraceSet`](crate::TraceSet) in memory to compute
 //! per-sample means first and centred cross-products second. A 10⁵-trace
-//! fig. 6 campaign at 60 samples is still only ~48 MB, but the point of
-//! the batched acquisition path is that completed ensemble lanes stream
-//! straight into the attack statistics — so these accumulators keep
+//! fig. 6 campaign at 60 samples is still only ~48 MB, but a campaign
+//! synthesises its traces one at a time and can fold each straight into
+//! the attack statistics — so these accumulators keep
 //! **O(guesses × samples)** state regardless of how many traces pass
 //! through, using raw-moment sums:
 //!
@@ -17,9 +17,8 @@
 //!
 //! Determinism contract: a fold is a *sequence*, so two accumulators fed
 //! the same traces **in the same order** produce bit-identical results —
-//! the batched acquisition path preserves trace order end-to-end (see
-//! `parallel_fold_ordered` in `mcml-exec`), which is what makes the
-//! ensemble campaign's verdicts bit-reproducible against a serial run.
+//! the fig. 6 campaign pushes trace `i` at step `i` on one thread, which
+//! is what makes its verdicts bit-reproducible for any thread count.
 //! Against the two-pass functions the raw-moment rounding differs in the
 //! last few ulps, so campaigns compare *verdicts* (best guess, ranking,
 //! leak flags) exactly and correlations to a tolerance; the regression

@@ -11,11 +11,6 @@
 //!   whole stripe) and results are merged back **by original index**, so the
 //!   output `Vec` is bit-identical to what the serial loop produces no matter
 //!   how the scheduler interleaved the workers.
-//! * [`parallel_fold_ordered`] — the streaming counterpart: workers compute
-//!   items concurrently, but the caller's fold closure consumes them strictly
-//!   in index order through a bounded reorder window, so an online
-//!   accumulator (the chunked CPA/TVLA sums) rounds identically to the
-//!   serial loop while memory stays `O(workers)` instead of `O(n)`.
 //! * [`chunk_ranges`] / [`chunked_sum`] — fixed chunk boundaries for
 //!   floating-point reductions.  Both the serial and the parallel paths fold
 //!   per-chunk partial sums in chunk order, so the rounding profile (and
@@ -47,9 +42,7 @@
 #![warn(missing_docs)]
 
 use mcml_obs::{Counter, Stage};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How much hardware parallelism a pipeline stage may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,153 +168,6 @@ where
     parallel_map(par, items.len(), |i| f(&items[i]))
 }
 
-/// Map `0..n` across threads and fold the results **in index order** on the
-/// calling thread, without ever materialising the full result vector.
-///
-/// This is the streaming counterpart of [`parallel_map`]: workers compute
-/// `map(i)` concurrently, but `fold(&mut acc, i, r)` runs on the caller's
-/// thread strictly at `i = 0, 1, 2, …` — so a floating-point accumulator
-/// (e.g. the chunked CPA sums in `mcml-dpa`) rounds bit-identically to the
-/// serial loop for any thread count. A bounded reorder window provides
-/// backpressure: a worker may run at most `2 × workers` items ahead of the
-/// fold cursor, so peak buffered memory is `O(workers × sizeof(R))`,
-/// independent of `n`. That is what lets a 10⁵-trace campaign stream
-/// completed traces into an attack accumulator without ever holding the
-/// trace matrix.
-///
-/// Panics in `map` or `fold` are propagated to the caller; in-flight workers
-/// drain and join first, so no thread is leaked.
-pub fn parallel_fold_ordered<R, A, M, F>(
-    par: Parallelism,
-    n: usize,
-    init: A,
-    map: M,
-    mut fold: F,
-) -> A
-where
-    R: Send,
-    M: Fn(usize) -> R + Sync,
-    F: FnMut(&mut A, usize, R),
-{
-    mcml_obs::incr(Counter::ParallelBatches);
-    mcml_obs::add(Counter::TasksRun, n as u64);
-    let _dispatch = mcml_obs::span(Stage::ParallelMap);
-
-    let workers = par.worker_count().min(n.max(1));
-    let mut acc = init;
-    if workers <= 1 || n <= 1 {
-        let _busy = mcml_obs::span(Stage::WorkerBusy);
-        for i in 0..n {
-            let r = map(i);
-            fold(&mut acc, i, r);
-        }
-        return acc;
-    }
-
-    let window = 2 * workers;
-    let shared: Mutex<Reorder<R>> = Mutex::new(Reorder {
-        buf: BTreeMap::new(),
-        next: 0,
-    });
-    // `ready`: a result the consumer may be waiting on has arrived (or a
-    // thread is bailing out). `room`: the fold cursor advanced, so workers
-    // blocked on the window may proceed.
-    let ready = Condvar::new();
-    let room = Condvar::new();
-    let abort = AtomicBool::new(false);
-    let counter = AtomicUsize::new(0);
-
-    let result = crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let (shared, ready, room, abort, counter) = (&shared, &ready, &room, &abort, &counter);
-            let map = &map;
-            s.spawn(move |_| {
-                let _busy = mcml_obs::span(Stage::WorkerBusy);
-                let _wake = WakeOnExit { abort, ready, room };
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    {
-                        let mut g = shared.lock().expect("reorder lock");
-                        while i >= g.next + window && !abort.load(Ordering::Relaxed) {
-                            g = room.wait(g).expect("reorder lock");
-                        }
-                    }
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let r = map(i);
-                    shared.lock().expect("reorder lock").buf.insert(i, r);
-                    ready.notify_all();
-                }
-            });
-        }
-
-        // Consumer runs on the calling thread: pop index `folded` as soon as
-        // it lands, fold it, advance the cursor, release window room.
-        let _wake = WakeOnExit {
-            abort: &abort,
-            ready: &ready,
-            room: &room,
-        };
-        let mut folded = 0usize;
-        'drain: while folded < n {
-            let r = {
-                let mut g = shared.lock().expect("reorder lock");
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break 'drain;
-                    }
-                    if let Some(r) = g.buf.remove(&folded) {
-                        g.next += 1;
-                        room.notify_all();
-                        break r;
-                    }
-                    g = ready.wait(g).expect("reorder lock");
-                }
-            };
-            fold(&mut acc, folded, r);
-            folded += 1;
-        }
-    });
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
-    }
-    acc
-}
-
-/// Reorder buffer for [`parallel_fold_ordered`]: completed-but-unfolded
-/// results keyed by index, plus the fold cursor (`next` = first index not
-/// yet folded).
-struct Reorder<R> {
-    buf: BTreeMap<usize, R>,
-    next: usize,
-}
-
-/// On drop — normal exit or unwind — wake everyone parked on the reorder
-/// buffer so no thread waits forever for a peer that is gone; on unwind,
-/// also flag the shared abort so the remaining threads drain and exit.
-struct WakeOnExit<'a> {
-    abort: &'a AtomicBool,
-    ready: &'a Condvar,
-    room: &'a Condvar,
-}
-
-impl Drop for WakeOnExit<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.abort.store(true, Ordering::Relaxed);
-        }
-        self.ready.notify_all();
-        self.room.notify_all();
-    }
-}
-
 /// Raw pointer wrapper so disjoint slots can be written from scoped workers.
 /// (A method rather than direct field access keeps edition-2021 closures
 /// capturing the whole `Send` wrapper, not the bare pointer.)
@@ -440,74 +286,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(6).worker_count(), 6);
         assert!(Parallelism::Auto.worker_count() >= 1);
         assert!(!Parallelism::Serial.is_parallel());
-    }
-
-    #[test]
-    fn fold_ordered_matches_serial_bit_for_bit() {
-        // Non-associative accumulation: any reordering of the fold would
-        // change the rounding, so bit-equality proves index-order folding.
-        let map = |i: usize| 1.0 / (i as f64 + 1.0).powi(2);
-        let fold = |acc: &mut f64, _i: usize, r: f64| *acc = (*acc + r) * 1.000_000_1;
-        let serial = parallel_fold_ordered(Parallelism::Serial, 5_000, 0.0f64, map, fold);
-        for threads in [2, 3, 8] {
-            let p = parallel_fold_ordered(Parallelism::Threads(threads), 5_000, 0.0f64, map, fold);
-            assert_eq!(serial.to_bits(), p.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fold_ordered_visits_indices_in_order() {
-        let order = parallel_fold_ordered(
-            Parallelism::Threads(8),
-            1000,
-            Vec::new(),
-            |i| i,
-            |acc: &mut Vec<usize>, i, r| {
-                assert_eq!(i, r);
-                acc.push(i);
-            },
-        );
-        let expect: Vec<usize> = (0..1000).collect();
-        assert_eq!(order, expect);
-    }
-
-    #[test]
-    fn fold_ordered_handles_empty_and_single() {
-        let none = parallel_fold_ordered(Parallelism::Auto, 0, 0u32, |_| 1u32, |a, _, r| *a += r);
-        assert_eq!(none, 0);
-        let one = parallel_fold_ordered(Parallelism::Auto, 1, 0u32, |_| 5u32, |a, _, r| *a += r);
-        assert_eq!(one, 5);
-    }
-
-    #[test]
-    fn fold_ordered_propagates_map_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_fold_ordered(
-                Parallelism::Threads(4),
-                200,
-                0usize,
-                |i| {
-                    assert!(i != 123, "boom");
-                    i
-                },
-                |a, _, r| *a += r,
-            )
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn fold_ordered_propagates_fold_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_fold_ordered(
-                Parallelism::Threads(4),
-                200,
-                0usize,
-                |i| i,
-                |_a, i, _r| assert!(i != 150, "boom in fold"),
-            )
-        });
-        assert!(caught.is_err());
     }
 
     #[test]

@@ -138,8 +138,9 @@ pub fn set_mode(m: Mode) {
 
 /// Zero every counter and stage timer and restart the run clock.
 ///
-/// The benchmark binaries call this between their serial baseline and the
-/// reported run so the emitted report covers exactly one pipeline pass.
+/// The benchmark binaries call this at the start of their pass so the
+/// emitted report covers exactly one pipeline pass and states its real
+/// wall time.
 pub fn reset() {
     counters::reset_all();
     span::reset_all();

@@ -2,7 +2,7 @@
 //! both tiers — current-template CPA on the 8-bit reduced AES and
 //! transistor-level CPA on the 4-bit reduced AES.
 
-use pg_mcml::experiments::{fig6_template, fig6_transistor};
+use pg_mcml::experiments::{fig6_template, fig6_transistor_par};
 use pg_mcml::prelude::*;
 
 #[test]
@@ -59,7 +59,14 @@ fn transistor_cpa_breaks_cmos() {
     // Tier 1: genuine SPICE traces, 4-bit reduced AES, all 16 plaintexts.
     let params = CellParams::default();
     let plaintexts: Vec<u8> = (0..16).collect();
-    let (row, _) = fig6_transistor(&params, 0xb, LogicStyle::Cmos, &plaintexts).unwrap();
+    let (row, _) = fig6_transistor_par(
+        &params,
+        0xb,
+        LogicStyle::Cmos,
+        &plaintexts,
+        Parallelism::from_env(),
+    )
+    .unwrap();
     assert_eq!(row.rank, 0, "transistor-level CMOS CPA: {row:?}");
 }
 
@@ -67,7 +74,14 @@ fn transistor_cpa_breaks_cmos() {
 fn transistor_cpa_fails_on_pg_mcml() {
     let params = CellParams::default();
     let plaintexts: Vec<u8> = (0..16).collect();
-    let (row, _) = fig6_transistor(&params, 0xb, LogicStyle::PgMcml, &plaintexts).unwrap();
+    let (row, _) = fig6_transistor_par(
+        &params,
+        0xb,
+        LogicStyle::PgMcml,
+        &plaintexts,
+        Parallelism::from_env(),
+    )
+    .unwrap();
     assert!(
         row.rank > 0 || row.margin < 1.05,
         "PG-MCML must resist at transistor level: {row:?}"

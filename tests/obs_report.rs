@@ -1,15 +1,18 @@
-//! The ISSUE's acceptance test: observability counter totals are
-//! identical for `MCML_THREADS=1` and `MCML_THREADS=4` over the same
-//! workload. Runs the `table2` pipeline (the acceptance criterion) and
-//! the genuinely contended `build_library_par` fan-out, capturing a
-//! [`RunReport`] after each and comparing the deterministic sections.
+//! Serial ≡ parallel: the paper workloads produce the same results and
+//! the same observability counter totals for `MCML_THREADS=1` and
+//! `MCML_THREADS=4`. Covers the `table2`, `table3` and fig. 6
+//! transistor-tier pipelines (the paper binaries run their workload once
+//! and rely on these checks), the genuinely contended
+//! `build_library_par` fan-out and the partitioned transient, capturing
+//! a [`RunReport`] after each and comparing the deterministic sections.
 //!
 //! Obs counters and the characterisation cache are process-global;
 //! every test here serialises on one mutex and starts from a clean
 //! slate (`cache::clear()` + `mcml_obs::reset()`).
 
 use mcml_obs::{Counter, Mode, RunReport};
-use pg_mcml::experiments::table2;
+use mcml_or1k::aes_prog::AesBenchParams;
+use pg_mcml::experiments::{fig6_transistor_ensemble, table2, table3};
 use pg_mcml::prelude::*;
 use pg_mcml::Parallelism;
 use std::sync::Mutex;
@@ -33,16 +36,23 @@ fn instrumented(run: &str, threads: usize, work: impl FnOnce()) -> RunReport {
 #[test]
 fn table2_counters_equal_serial_vs_four_threads() {
     let _g = locked();
+    let mut serial_rows = Vec::new();
     let serial = instrumented("table2", 1, || {
         let mut flow = DesignFlow::new(CellParams::default()).with_parallelism(Parallelism::Serial);
-        table2(&mut flow).expect("serial table2");
+        serial_rows = table2(&mut flow).expect("serial table2");
     });
+    let mut parallel_rows = Vec::new();
     let parallel = instrumented("table2", 4, || {
         let mut flow =
             DesignFlow::new(CellParams::default()).with_parallelism(Parallelism::Threads(4));
-        table2(&mut flow).expect("parallel table2");
+        parallel_rows = table2(&mut flow).expect("parallel table2");
     });
 
+    assert_eq!(
+        serial_rows, parallel_rows,
+        "parallel characterisation must reproduce the serial rows exactly"
+    );
+    assert_eq!(serial_rows.len(), 16);
     assert_eq!(
         serial.deterministic_totals(),
         parallel.deterministic_totals(),
@@ -77,6 +87,99 @@ fn table2_counters_equal_serial_vs_four_threads() {
             .join("\n")
     };
     assert_eq!(strip(&serial), strip(&parallel));
+}
+
+#[test]
+fn table3_rows_and_counters_equal_serial_vs_four_threads() {
+    let _g = locked();
+    // A reduced software run: the library characterisation and the
+    // event-simulated power windows are the same work as the binary's.
+    let bench = AesBenchParams {
+        blocks: 1,
+        idle_loops: 1500,
+        ..AesBenchParams::default()
+    };
+    let run = |par: Parallelism| {
+        let mut flow = DesignFlow::new(CellParams::default()).with_parallelism(par);
+        table3(&mut flow, &bench, 400e6).expect("table3")
+    };
+    let mut serial_rows = Vec::new();
+    let serial = instrumented("table3", 1, || serial_rows = run(Parallelism::Serial));
+    let mut parallel_rows = Vec::new();
+    let parallel = instrumented("table3", 4, || parallel_rows = run(Parallelism::Threads(4)));
+
+    assert_eq!(
+        serial_rows, parallel_rows,
+        "parallel table3 must reproduce the serial rows exactly"
+    );
+    assert_eq!(serial_rows.len(), 3);
+    assert_eq!(
+        serial.deterministic_totals(),
+        parallel.deterministic_totals(),
+        "counter totals must not depend on MCML_THREADS"
+    );
+    for c in [
+        Counter::CellsCharacterized,
+        Counter::NrIterations,
+        Counter::Transients,
+    ] {
+        assert!(serial.counter(c) > 0, "{} should be nonzero", c.name());
+    }
+}
+
+/// Every bit of a fig. 6 verdict and its correlation curves.
+fn fig6_bits(row: &pg_mcml::experiments::Fig6Row, r: &mcml_dpa::CpaResult) -> Vec<u64> {
+    let mut bits = vec![
+        row.rank as u64,
+        row.traces as u64,
+        row.margin.to_bits(),
+        row.peak_correct.to_bits(),
+        row.best_wrong.to_bits(),
+    ];
+    bits.extend(r.peak.iter().map(|v| v.to_bits()));
+    bits.extend(r.corr.iter().flatten().map(|v| v.to_bits()));
+    bits
+}
+
+#[test]
+fn fig6_transistor_tier_bits_equal_serial_vs_four_threads() {
+    // CMOS, six plaintexts: scalar transients (lanes 1) and two 3-lane
+    // ensemble blocks, each fanned over one and over four workers.
+    let _g = locked();
+    let params = CellParams::default();
+    let plaintexts: Vec<u8> = (0..6).collect();
+    for lanes in [1, 3] {
+        let run = |par: Parallelism| {
+            let (row, r) =
+                fig6_transistor_ensemble(&params, 0xb, LogicStyle::Cmos, &plaintexts, lanes, par)
+                    .expect("fig. 6 transistor tier");
+            fig6_bits(&row, &r)
+        };
+        let mut serial_bits = Vec::new();
+        let serial = instrumented("fig6", 1, || serial_bits = run(Parallelism::Serial));
+        let mut parallel_bits = Vec::new();
+        let parallel = instrumented("fig6", 4, || parallel_bits = run(Parallelism::Threads(4)));
+
+        assert_eq!(
+            serial_bits, parallel_bits,
+            "lanes {lanes}: the verdict and correlations must not depend on MCML_THREADS"
+        );
+        assert_eq!(
+            serial.deterministic_totals(),
+            parallel.deterministic_totals(),
+            "lanes {lanes}: counter totals must not depend on MCML_THREADS"
+        );
+        for c in [Counter::NrIterations, Counter::TranSteps, Counter::MosEvals] {
+            assert!(
+                serial.counter(c) > 0,
+                "lanes {lanes}: {} should be nonzero",
+                c.name()
+            );
+        }
+        assert_eq!(serial.counter(Counter::TracesAcquired), 6);
+        let ensemble_lanes = if lanes > 1 { 6 } else { 0 };
+        assert_eq!(serial.counter(Counter::EnsembleLanes), ensemble_lanes);
+    }
 }
 
 #[test]
